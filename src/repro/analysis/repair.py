@@ -707,9 +707,9 @@ def repair_policy(
     across all iterations.
 
     By default the caller's policy is left untouched (``work`` is a
-    copy); ``in_place=True`` repairs the caller's policy directly —
-    the fuzz harness uses this to keep exercising recycled interner
-    layouts (a copy would re-intern densely).
+    copy, with the same interner layout); ``in_place=True`` repairs
+    the caller's policy directly — the fuzz harness uses this to
+    repair its churned policy itself, as a serving caller would.
     """
     rules = list(rules) if rules is not None else None
     work = policy if in_place else policy.copy()

@@ -173,6 +173,14 @@ class BitGrantRectangle:
         comparison against the oracle)."""
         return GrantRectangle(self.held, self.sources, self.targets)
 
+    def rebound(self, graph) -> "BitGrantRectangle":
+        """This rectangle decoding through ``graph`` — a structural
+        clone of its own graph, whose interned IDs are identical."""
+        return BitGrantRectangle(
+            self.held, self.source_bits, self.target_bits,
+            self.extra_sources, self.extra_targets, graph,
+        )
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BitGrantRectangle):
             return NotImplemented
@@ -326,6 +334,58 @@ class AuthorizationIndex:
         self._region_cache = region_cache
         self._snapshot: ReviewSnapshot | None = None
         self._rebuild()
+
+    @classmethod
+    def _derived(cls, policy: Policy, sources) -> "AuthorizationIndex":
+        """A read-only index over ``policy`` — a structural clone of the
+        ``sources``' policy (same version and interned-ID layout) —
+        populated from the sources' validated maps instead of rebuilt:
+        the per-subject dicts are shallow copies merged across the
+        sources (a plain index, or every shard of a sharded one), which
+        is safe because their values are immutable ints, tuples and
+        frozensets.  Compiled rectangles decode through their graph, so
+        each distinct one is rebound to the clone's; frozenset
+        rectangles hold no graph and are shared as they are."""
+        compiled = sources[0].compiled
+        index = cls.__new__(cls)
+        index.policy = policy
+        index.incremental = True
+        index.compiled = compiled
+        index.full_rebuilds = 0
+        index.partial_refreshes = 0
+        index.users_refreshed = 0
+        index._cursor = policy.journal_cursor()
+        index._held = {}
+        index._rectangles = {}
+        index._rect_rows = {}
+        index._extras_users = set()
+        index._oracle = OrderingOracle(policy, compiled=compiled)
+        index._pool = None
+        index._owns = None
+        index._region_cache = None
+        index._snapshot = None
+        graph = policy.graph
+        rebound: dict[int, BitGrantRectangle] = {}
+        for source in sources:
+            index._held.update(source._held)
+            index._rect_rows.update(source._rect_rows)
+            index._extras_users.update(source._extras_users)
+            if not compiled:
+                index._rectangles.update(source._rectangles)
+                continue
+            for user, rectangles in source._rectangles.items():
+                if rectangles:
+                    copies = []
+                    for rectangle in rectangles:
+                        copy = rebound.get(id(rectangle))
+                        if copy is None:
+                            copy = rebound[id(rectangle)] = (
+                                rectangle.rebound(graph)
+                            )
+                        copies.append(copy)
+                    rectangles = tuple(copies)
+                index._rectangles[user] = rectangles
+        return index
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -1131,11 +1191,13 @@ class AuthorizationIndex:
     # ------------------------------------------------------------------
     def snapshot(self) -> "ReviewSnapshot":
         """Capture and retain a review snapshot at the current policy
-        version.  Subsequent ``grantable_pairs(..., at_version=v)``
-        calls answer from it while mutations continue on the live
-        policy; only the most recent snapshot is retained (the batched
-        submit-queue path captures one per audited batch)."""
-        snapshot = ReviewSnapshot(self.policy, compiled=self.compiled)
+        version, derived from this index once it is repaired (see
+        :class:`ReviewSnapshot`).  Subsequent ``grantable_pairs(...,
+        at_version=v)`` calls answer from it while mutations continue
+        on the live policy; only the most recent snapshot is retained
+        (the batched submit-queue path captures one per audited batch,
+        and the PDP publishes one per write batch)."""
+        snapshot = ReviewSnapshot((self,))
         self._snapshot = snapshot
         return snapshot
 
@@ -1177,41 +1239,42 @@ def retained_snapshot(
 class ReviewSnapshot:
     """A frozen review-function view of the policy at one version.
 
-    Captures a :meth:`Policy.copy` eagerly (O(V+E), the cost of
-    consistency) and builds an index over it lazily on the first
-    review query — in the retaining index's kernel representation, so
-    a frozenset-oracle index stays frozenset end to end — so a
-    batched submit-queue that retains a snapshot per audited batch
-    pays for the index only if an audit actually reads it.  Answers
-    are immutable: every ``grantable_pairs`` / ``revocable_pairs`` /
-    ``effective_authority`` call sees exactly the captured version,
-    regardless of how far the live policy has moved on.
+    Built only by :meth:`AuthorizationIndex.snapshot` and
+    :meth:`~repro.core.authz_shard.ShardedAuthorizationIndex.snapshot`
+    from live index state: ``indexes`` is the plain index, or every
+    shard of a sharded one.  Each is repaired first, so the snapshot
+    is always derived from validated maps.  It holds a structural
+    :meth:`Policy.copy` of the live policy and an index derived from
+    the live maps over that copy (:meth:`AuthorizationIndex._derived`).
+    Capture therefore costs the live index's pending incremental
+    repair, a bulk clone and shallow dict copies — no per-subject
+    rebuild — and the first read pays nothing extra.  The derived
+    index runs the live index's kernel, so a frozenset-oracle index
+    stays frozenset end to end, and a sharded index's snapshot is one
+    merged (unsharded) index.  Answers are immutable: every
+    ``grantable_pairs`` / ``revocable_pairs`` / ``effective_authority``
+    / ``authorizes`` call sees exactly the captured version, regardless
+    of how far the live policy has moved on.
     """
 
-    __slots__ = ("version", "compiled", "_policy", "_index")
+    __slots__ = ("version", "_policy", "_index")
 
-    def __init__(self, policy: Policy, compiled: bool = True):
+    def __init__(self, indexes):
+        for index in indexes:
+            index.refresh()  # derive from repaired maps only
+        policy = indexes[0].policy
         self.version = policy.version
-        self.compiled = compiled
         self._policy = policy.copy()
-        self._index: AuthorizationIndex | None = None
-
-    def _ensure_index(self) -> AuthorizationIndex:
-        index = self._index
-        if index is None:
-            index = self._index = AuthorizationIndex(
-                self._policy, compiled=self.compiled
-            )
-        return index
+        self._index = AuthorizationIndex._derived(self._policy, indexes)
 
     def grantable_pairs(self, user: User) -> frozenset:
-        return self._ensure_index().grantable_pairs(user)
+        return self._index.grantable_pairs(user)
 
     def grantable_pairs_bulk(self, users) -> dict[User, frozenset]:
-        return self._ensure_index().grantable_pairs_bulk(users)
+        return self._index.grantable_pairs_bulk(users)
 
     def revocable_pairs(self, user: User) -> frozenset:
-        return self._ensure_index().revocable_pairs(user)
+        return self._index.revocable_pairs(user)
 
     def authorizes(self, user: User, command: Command) -> Privilege | None:
         """Decide ``command`` for ``user`` at the pinned version — the
@@ -1219,12 +1282,12 @@ class ReviewSnapshot:
         gives, frozen at capture time.  This is the serving layer's
         read path: a reader holding this snapshot never observes a
         mutation applied after it was captured."""
-        return self._ensure_index().authorizes(user, command)
+        return self._index.authorizes(user, command)
 
     def authorizes_batch(self, pairs) -> list[Privilege | None]:
         """Batch :meth:`authorizes` over ``(user, command)`` pairs via
         the packed-matrix kernel, all at the pinned version."""
-        return self._ensure_index().authorizes_batch(pairs)
+        return self._index.authorizes_batch(pairs)
 
     def policy_copy(self) -> Policy:
         """A mutable copy of the captured policy, for differential
@@ -1233,7 +1296,7 @@ class ReviewSnapshot:
         return self._policy.copy()
 
     def effective_authority(self, user: User) -> dict[str, frozenset]:
-        return self._ensure_index().effective_authority(user)
+        return self._index.effective_authority(user)
 
     def __repr__(self) -> str:
         return f"ReviewSnapshot(version={self.version})"

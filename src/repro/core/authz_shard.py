@@ -475,10 +475,11 @@ class ShardedAuthorizationIndex:
     # ------------------------------------------------------------------
     def snapshot(self) -> ReviewSnapshot:
         """Capture and retain a review snapshot at the current policy
-        version — one snapshot for the whole façade, answered by an
-        (unsharded) index over the frozen copy; shard layout is
-        invisible to review reads either way."""
-        snapshot = ReviewSnapshot(self.policy, compiled=self.compiled)
+        version — one snapshot for the whole façade: every shard is
+        repaired, then their maps merge into one (unsharded) index over
+        the frozen copy; shard layout is invisible to review reads
+        either way."""
+        snapshot = ReviewSnapshot(self._shards)
         self._snapshot = snapshot
         return snapshot
 

@@ -226,8 +226,9 @@ class ReferenceMonitor:
         and as :attr:`last_snapshot`: an audit burst run while or after
         the batch applies can pass ``at_version=last_snapshot.version``
         to ``grantable_pairs``/``revocable_pairs`` and see one
-        consistent version.  Costs one policy copy per batch, which is
-        why it is opt-in.
+        consistent version.  Costs a structural policy clone plus
+        shallow copies of the index maps per batch, which is why it is
+        opt-in (the PDP does not use it).
         """
         commands = list(queue)
         if not batched or self._index is None or self.mode is not Mode.REFINED:

@@ -118,6 +118,23 @@ class PolicyBits:
         self._cursor.version = self._graph.version
         self.rebuilds += 1
 
+    def copy(self, graph: Digraph) -> "PolicyBits":
+        """These masks, validated, over ``graph`` — a structural clone
+        of this graph (:meth:`Digraph.copy` preserves interned IDs, so
+        the masks carry over as they are)."""
+        self.validate()
+        clone = PolicyBits.__new__(PolicyBits)
+        clone._graph = graph
+        clone._cursor = graph.journal_cursor()
+        clone.rebuilds = 0
+        clone.users_mask = self.users_mask
+        clone.roles_mask = self.roles_mask
+        clone.entities_mask = self.entities_mask
+        clone.privileges_mask = self.privileges_mask
+        clone.grant_entity_mask = self.grant_entity_mask
+        clone.revoke_entity_mask = self.revoke_entity_mask
+        return clone
+
     def validate(self) -> None:
         """Bring the masks up to date with the graph now."""
         if not self._cursor.pending:
@@ -431,11 +448,15 @@ class Policy:
     # Value semantics
     # ------------------------------------------------------------------
     def copy(self) -> "Policy":
-        clone = Policy()
-        for vertex in self._graph.vertices():
-            clone._graph.add_vertex(vertex)
-        for source, target in self._graph.edges():
-            clone._graph.add_edge(source, target)
+        """An independent policy at the same version with the same
+        interned-ID layout (see :meth:`Digraph.copy`); its reachability
+        cache starts cold."""
+        clone = Policy.__new__(Policy)
+        clone._graph = self._graph.copy()
+        clone._cache = ReachabilityCache(clone._graph)
+        clone._bits = (
+            None if self._bits is None else self._bits.copy(clone._graph)
+        )
         return clone
 
     def edge_set(self) -> frozenset[PolicyEdge]:

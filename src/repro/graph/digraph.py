@@ -475,12 +475,30 @@ class Digraph:
         return len(self._pred.get(vertex, ()))
 
     def copy(self) -> "Digraph":
-        """An independent copy sharing no mutable state."""
+        """An independent structural clone sharing no mutable state.
+
+        The adjacency sets, the interner (IDs, free-list) and the
+        bitset rows are copied in bulk, so the clone has the source's
+        exact ID layout and masks computed over one graph stay valid
+        over the other.  The clone keeps the source's ``version`` and
+        starts an empty journal based at it: ``changes_since(v)`` is
+        None for any ``v`` below that version, and the source's
+        journal and cursors are untouched.
+        """
         clone = Digraph()
-        for vertex in self._succ:
-            clone.add_vertex(vertex)
-        for source, target in self.edges():
-            clone.add_edge(source, target)
+        clone._succ = {
+            vertex: targets.copy() for vertex, targets in self._succ.items()
+        }
+        clone._pred = {
+            vertex: sources.copy() for vertex, sources in self._pred.items()
+        }
+        clone._edge_count = self._edge_count
+        clone.version = clone._journal_base = self.version
+        clone._vid = self._vid.copy()
+        clone._vertex_of = self._vertex_of.copy()
+        clone._free_vids = self._free_vids.copy()
+        clone._succ_bits = self._succ_bits.copy()
+        clone._pred_bits = self._pred_bits.copy()
         return clone
 
     def __eq__(self, other: object) -> bool:

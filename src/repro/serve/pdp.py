@@ -10,17 +10,21 @@ Writer side
     drains the queue into micro-batches — closed by a size watermark
     (``max_batch``) or a time watermark (``max_delay``), whichever
     trips first — and executes each batch as one
-    ``submit_queue(batched=True, snapshot=True)`` transaction, so the
-    packed-matrix kernel authorizes the whole batch in one sweep and
-    the audit contract (batch-entry snapshot retained as
-    ``last_snapshot``) is exactly the monitor's.  The per-request
-    futures resolve to the returned :class:`ExecutionRecord`\\ s in
-    queue order.
+    ``submit_queue(batched=True)`` transaction, so the packed-matrix
+    kernel authorizes the whole batch in one sweep and the monitor's
+    audit trail grows one entry per command.  The writer captures no
+    separate batch-entry snapshot: the batch-entry state is the
+    previously published one (kept in :attr:`history` under
+    ``retain_history=True``).  The per-request futures resolve to the
+    returned :class:`ExecutionRecord`\\ s in queue order.
 
 Reader side
     :meth:`check` / :meth:`check_many` never touch the writer's index.
     After each batch the writer *publishes* a fresh
-    :class:`~repro.core.authz_index.ReviewSnapshot`; readers decide
+    :class:`~repro.core.authz_index.ReviewSnapshot`, derived from its
+    repaired live index in time proportional to a bulk policy clone —
+    no index is rebuilt, on publication or on the first read
+    (``publish_latency`` in :attr:`metrics`); readers decide
     against whatever snapshot is currently published — an immutable
     object, so no locks — and requests arriving within one event-loop
     tick accumulate into a read window answered by a single
@@ -211,7 +215,6 @@ class PolicyDecisionPoint:
                 f"queue_limit must be >= 1 or None, got {queue_limit}"
             )
         self.monitor = monitor
-        self.compiled = monitor.compiled
         self.max_batch = max_batch
         self.max_delay = max_delay
         self.limiter = rate_limiter
@@ -236,9 +239,7 @@ class PolicyDecisionPoint:
                 # live policy — never from a silently diverged one.
                 wal.append_rebase(monitor.policy)
             self.wal = wal
-        self._snapshot = ReviewSnapshot(
-            monitor.policy, compiled=self.compiled
-        )
+        self._snapshot = monitor._index.snapshot()
         self._published_at = self.clock()
         if retain_history:
             self.history[self._snapshot.version] = self._snapshot
@@ -563,9 +564,7 @@ class PolicyDecisionPoint:
             # sees the same batch-entry state the kernel does.
             self.wal.append_rebase(self.monitor.policy)
         if commands:
-            records = self.monitor.submit_queue(
-                commands, batched=True, snapshot=True
-            )
+            records = self.monitor.submit_queue(commands, batched=True)
             self.metrics.observe_write_batch(len(commands), depth)
         else:
             records = []
@@ -681,18 +680,19 @@ class PolicyDecisionPoint:
                 future.set_exception(error)
 
     def _publish(self, fresh: bool = True) -> None:
-        """Capture and publish a fresh reader snapshot of the current
-        policy, then advance the decision cache to its version by
-        selective journal-driven eviction.
+        """Derive and publish a fresh reader snapshot from the repaired
+        live index (:meth:`AuthorizationIndex.snapshot`), then advance
+        the decision cache to its version by selective journal-driven
+        eviction.
 
         ``fresh=True`` (every successful pass through the writer,
         batches and refreshes alike) restamps ``_published_at``; the
         failure path passes False so the staleness clock only resets
         when the version actually advanced — a same-version republish
         from a failing writer proves nothing about freshness."""
-        snapshot = ReviewSnapshot(
-            self.monitor.policy, compiled=self.compiled
-        )
+        started = self.clock()
+        snapshot = self.monitor._index.snapshot()
+        self.metrics.publish_latency.observe(self.clock() - started)
         if fresh or snapshot.version != self._snapshot.version:
             self._published_at = self.clock()
         self._snapshot = snapshot
@@ -855,10 +855,17 @@ class PolicyDecisionPoint:
         return self._snapshot.grantable_pairs_bulk(subjects)
 
     def statistics(self) -> dict[str, object]:
-        """Metrics plus cache, writer-health, queue, staleness, rate
-        limiter and WAL counters — one JSON-able dict."""
+        """Metrics plus cache, live-index maintenance, writer-health,
+        queue, staleness, rate limiter and WAL counters — one JSON-able
+        dict.  The index counters are read without repairing it."""
         stats = self.metrics.snapshot()
         stats["cache"] = self.cache.statistics()
+        index = self.monitor._index
+        stats["index"] = {
+            "full_rebuilds": index.full_rebuilds,
+            "partial_refreshes": index.partial_refreshes,
+            "users_refreshed": index.users_refreshed,
+        }
         stats["version"] = self.version
         stats["writer"] = self.supervisor.snapshot()
         stats["staleness"] = self._staleness()

@@ -531,8 +531,9 @@ def fuzz_lint(
     The comparison runs on the freshly generated policy and again
     after each of ``rounds`` chunks of :func:`_recycling_churn` — so
     the compiled sweeps are exercised over interners with freed and
-    recycled vertex IDs, which lint deliberately does not launder
-    through a dense re-interning copy.  Each comparison also declares
+    recycled vertex IDs (lint runs on the policy itself, and
+    ``Policy.copy`` would keep that layout anyway).  Each comparison
+    also declares
     an SSD separation set sampled from the live roles, pinning the
     ``constraint-conflict`` rule in both kernels.
     """
@@ -588,10 +589,9 @@ def fuzz_repair(
     and self-consistent.
 
     Per round: the compiled run repairs the churned policy **in
-    place** (preserving the recycled interner layout the churn
-    produced — a copy would re-intern densely and launder exactly the
-    layouts this invariant exercises) while the frozenset oracle
-    repairs a value-equal copy.  The two runs must emit identical
+    place**, over the recycled interner layout the churn produced,
+    while the frozenset oracle repairs a copy (same layout:
+    ``Policy.copy`` preserves interned IDs).  The two runs must emit identical
     plan/outcome sequences and value-equal repaired policies; the
     repaired policy must refine the pre-repair one (Definition 6);
     and the result must be a fixpoint — repairing again applies no

@@ -379,11 +379,21 @@ class TestReviewSnapshots:
         with pytest.raises(ValueError):
             sharded.grantable_pairs(ADMIN, at_version=snapshot.version + 1)
 
-    def test_snapshot_is_lazy_until_read(self, policy):
-        snapshot = ReviewSnapshot(policy)
-        assert snapshot._index is None
+    def test_snapshot_is_derived_from_the_live_index(self, policy):
+        """Capture derives the snapshot's index from the live one — no
+        rebuild then, and none deferred to the first read."""
+        index = AuthorizationIndex(policy)
+        snapshot = index.snapshot()
+        derived = snapshot._index
+        assert isinstance(snapshot, ReviewSnapshot)
+        assert derived is not None and derived.full_rebuilds == 0
+        assert derived.policy.version == snapshot.version == policy.version
+        assert derived._held == index._held
+        assert derived._rect_rows == index._rect_rows
         snapshot.grantable_pairs(ADMIN)
-        assert snapshot._index is not None
+        assert snapshot._index is derived
+        assert derived.full_rebuilds == derived.partial_refreshes == 0
+        assert index.full_rebuilds == 1  # the live index's construction
 
     def test_snapshot_inherits_the_kernel_flag(self, policy):
         """A frozenset-oracle index must stay frozenset end to end,

@@ -186,6 +186,30 @@ class TestValueSemantics:
         assert not policy.has_edge(R, S)
         assert clone == clone.copy()
 
+    def test_copy_preserves_layout_and_sort_masks(self):
+        u2 = User("u2")
+        policy = Policy(ua=[(U, R), (u2, R)], rh=[(R, S)], pa=[(S, P)])
+        policy.remove_user(U)
+        policy.add_role(Role("t"))  # recycles the freed user ID
+        bits = policy.bits
+        clone = policy.copy()
+        assert clone.version == policy.version
+        assert clone.graph._vid == policy.graph._vid
+        assert clone.graph._free_vids == policy.graph._free_vids
+        cloned = clone._bits
+        assert cloned is not None and cloned is not bits
+        for name in ("users_mask", "roles_mask", "entities_mask",
+                     "privileges_mask", "grant_entity_mask",
+                     "revoke_entity_mask"):
+            assert getattr(cloned, name) == getattr(bits, name)
+        assert clone.bits.rebuilds == 0  # valid as copied
+        clone.add_user(U)  # the clone's masks follow the clone
+        assert clone.bits.users_mask >> clone.graph.vid(U) & 1
+        assert U not in policy.graph
+        assert policy.bits.users_mask == bits.users_mask
+        # A policy whose masks were never built copies without them.
+        assert Policy(ua=[(U, R)]).copy()._bits is None
+
     def test_equality(self):
         one = Policy(ua=[(U, R)])
         two = Policy(ua=[(U, R)])

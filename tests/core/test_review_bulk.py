@@ -10,7 +10,7 @@ sharing an authority profile share one expansion.
 
 import pytest
 
-from repro.core.authz_index import AuthorizationIndex, ReviewSnapshot
+from repro.core.authz_index import AuthorizationIndex
 from repro.core.authz_shard import ShardedAuthorizationIndex
 from repro.core.commands import grant_cmd
 from repro.core.entities import Role, User
@@ -138,7 +138,7 @@ class TestReviewSnapshotDecisions:
     @BOTH_KERNELS
     def test_authorizes_frozen_at_capture(self, compiled):
         policy = build_policy()
-        snapshot = ReviewSnapshot(policy, compiled=compiled)
+        snapshot = AuthorizationIndex(policy, compiled=compiled).snapshot()
         command = grant_cmd(OTHER, U, R)
         assert snapshot.authorizes(OTHER, command) is None
         policy.assign_user(OTHER, ADM)  # live policy moves on
@@ -148,7 +148,9 @@ class TestReviewSnapshotDecisions:
 
     @BOTH_KERNELS
     def test_authorizes_batch_matches_scalar(self, compiled):
-        snapshot = ReviewSnapshot(build_policy(), compiled=compiled)
+        snapshot = AuthorizationIndex(
+            build_policy(), compiled=compiled
+        ).snapshot()
         pairs = [
             (ADMIN, grant_cmd(ADMIN, U, R)),
             (ADMIN, grant_cmd(ADMIN, U, S)),
@@ -164,7 +166,9 @@ class TestReviewSnapshotDecisions:
 
     @BOTH_KERNELS
     def test_policy_copy_is_detached(self, compiled):
-        snapshot = ReviewSnapshot(build_policy(), compiled=compiled)
+        snapshot = AuthorizationIndex(
+            build_policy(), compiled=compiled
+        ).snapshot()
         copy = snapshot.policy_copy()
         copy.assign_user(OTHER, ADM)
         # Mutating the copy never leaks into the snapshot's answers.

@@ -255,3 +255,67 @@ class TestJournalCursors:
             graph.add_vertex(("b", index))
         assert len(graph._journal) <= Digraph.JOURNAL_LIMIT
         assert cursor.take() is not None
+
+
+class TestStructuralClone:
+    """``Digraph.copy`` is a bulk clone of the exact interner layout."""
+
+    @staticmethod
+    def churned() -> Digraph:
+        # Holes and a non-empty free-list: "b" and "d" freed, then "e"
+        # recycles the most recently freed ID.
+        graph = Digraph([("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")])
+        graph.remove_vertex("b")
+        graph.remove_vertex("d")
+        graph.add_edge("e", "a")
+        graph.add_vertex("f")
+        graph.remove_vertex("f")
+        return graph
+
+    def test_layout_is_identical(self):
+        graph = self.churned()
+        clone = graph.copy()
+        assert clone == graph
+        assert clone._vid == graph._vid
+        assert clone._vertex_of == graph._vertex_of
+        assert clone._free_vids == graph._free_vids and clone._free_vids
+        assert clone._succ_bits == graph._succ_bits
+        assert clone._pred_bits == graph._pred_bits
+        assert clone.edge_count == graph.edge_count
+        assert clone.vid_capacity == graph.vid_capacity
+
+    def test_mutations_stay_independent_both_ways(self):
+        graph = self.churned()
+        clone = graph.copy()
+        layout = (dict(graph._vid), list(graph._vertex_of),
+                  list(graph._free_vids),
+                  list(graph._succ_bits), list(graph._pred_bits))
+        clone.add_edge("c", "g")  # recycles a freed ID in the clone only
+        clone.remove_edge("e", "a")
+        assert not graph.has_edge("c", "g") and "g" not in graph
+        assert graph.has_edge("e", "a")
+        assert layout == (graph._vid, graph._vertex_of, graph._free_vids,
+                          graph._succ_bits, graph._pred_bits)
+        graph.remove_vertex("c")
+        assert "c" in clone and clone.has_edge("c", "g")
+        assert clone.vid("c") != clone.vid("g")
+
+    def test_version_and_journal(self):
+        graph = self.churned()
+        cursor = graph.journal_cursor()
+        before = graph.version
+        graph.add_edge("a", "c")
+        journal = list(graph._journal)
+        clone = graph.copy()
+        assert clone.version == graph.version
+        assert clone.changes_since(clone.version) == ()
+        for version in (0, before, graph.version - 1):
+            assert clone.changes_since(version) is None
+        clone.add_edge("c", "a")
+        (delta,) = clone.changes_since(graph.version)
+        assert delta.kind == "add-edge" and delta.version == clone.version
+        # The source's journal and registered cursors are untouched.
+        assert list(graph._journal) == journal
+        assert cursor.version == before
+        assert [d.target for d in cursor.take()] == ["c"]
+        assert len(clone._cursors) == 0

@@ -242,24 +242,34 @@ class TestWriteConformance:
 
     @BOTH_KERNELS
     def test_audit_contract_preserved(self, compiled):
-        """The PDP rides submit_queue(snapshot=True): the monitor's
-        last_snapshot is the batch-entry version, the audit trail grows
-        one entry per command."""
+        """The PDP rides submit_queue(batched=True) and captures no
+        batch-entry snapshot of its own: with retain_history=True the
+        batch-entry state is the previously published snapshot, which
+        still answers at that version after the batch applied, and the
+        audit trail grows one entry per command."""
+        entry_oracle = oracle_monitor(compiled)
+        probe = grant_cmd(OTHER, U, R)
+
         async def scenario():
             async with PolicyDecisionPoint(
-                policy=serve_policy(), compiled=compiled
+                policy=serve_policy(), compiled=compiled,
+                retain_history=True,
             ) as pdp:
-                entry_version = pdp.monitor.policy.version
+                entry = pdp.last_snapshot
                 await pdp.submit_many(write_trace())
-                return (
-                    pdp.monitor.last_snapshot.version,
-                    entry_version,
-                    len(pdp.monitor.audit_trail),
-                )
+                return entry, pdp
 
-        snapshot_version, entry_version, audit_entries = run(scenario())
-        assert snapshot_version == entry_version
-        assert audit_entries == len(write_trace())
+        entry, pdp = run(scenario())
+        assert entry.version == entry_oracle.policy.version
+        assert pdp.history[entry.version] is entry
+        assert min(pdp.history) == entry.version < pdp.version
+        assert pdp.monitor.last_snapshot is None
+        assert entry.policy_copy() == entry_oracle.policy
+        assert pdp.monitor.policy != entry_oracle.policy
+        assert entry.authorizes(OTHER, probe) == (
+            entry_oracle._index.authorizes(OTHER, probe)
+        )
+        assert len(pdp.monitor.audit_trail) == len(write_trace())
 
     def test_reads_see_writes_after_publication(self):
         async def scenario():
@@ -400,3 +410,53 @@ class TestLifecycle:
         assert set(stats["decision_latency"]) == {
             "count", "mean", "p50", "p99", "max"
         }
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_publication_and_index_maintenance_surface(self, clock, shards):
+        """publish_latency times every snapshot derivation apart from
+        batch_apply_latency, and statistics()["index"] reports the live
+        index's maintenance counters without repairing it."""
+        async def scenario():
+            async with PolicyDecisionPoint(
+                policy=serve_policy(), shards=shards, clock=clock,
+            ) as pdp:
+                index = pdp.monitor._index
+                at_start = pdp.statistics()
+                await pdp.submit(grant_cmd(ADMIN, U, R))
+                await pdp.submit(grant_cmd(ADMIN, U, S))
+                after_writes = pdp.statistics()
+                # Out-of-band churn leaves the live index stale; reading
+                # the statistics must not repair it.
+                pdp.monitor.policy.assign_user(OTHER, ADM)
+                stale = pdp.statistics()["index"]
+                pending = index.partial_refreshes
+                await pdp.refresh()
+                return at_start, after_writes, stale, pending, pdp
+
+        at_start, after_writes, stale, pending, pdp = run(scenario())
+        # One observation per writer-side publication (the
+        # constructor's initial capture is set-up, not the write path).
+        assert at_start["publish_latency"]["count"] == 0
+        assert after_writes["publish_latency"]["count"] == 2
+        assert after_writes["batch_apply_latency"]["count"] == 2
+        assert set(after_writes["publish_latency"]) == {
+            "count", "mean", "p50", "p99", "max"
+        }
+        index = pdp.monitor._index
+        assert at_start["index"] == {
+            "full_rebuilds": shards,  # the initial build, per shard
+            "partial_refreshes": 0,
+            "users_refreshed": at_start["index"]["users_refreshed"],
+        }
+        assert after_writes["index"]["full_rebuilds"] == shards
+        assert after_writes["index"]["partial_refreshes"] >= 2
+        assert stale["partial_refreshes"] == pending
+        assert pdp.statistics()["index"] == {
+            "full_rebuilds": index.full_rebuilds,
+            "partial_refreshes": index.partial_refreshes,
+            "users_refreshed": index.users_refreshed,
+        }
+        assert index.partial_refreshes > pending  # refresh() repaired
+        # OTHER joined ADM, so the repair rebuilt its entry.
+        assert index.users_refreshed > stale["users_refreshed"]
+        assert pdp.metrics.publish_latency.count == 3

@@ -2,12 +2,15 @@
 
 The claim under test: answering the lint questions (dead roles,
 dormant privileges, irrevocable authority, self-escalation, SSD
-conflicts, redundant delegation) with one bitset sweep per rule over
-``PolicyBits`` masks and memoized ``descendants_bits`` beats the way
-you would answer them without the lint subsystem — probing every
-subject × object pair through the frozenset API (``policy.reaches``
-per cell, ``policy.copy()`` + from-scratch index rebuild per
-redundancy candidate) — by >=5x at 5k-user enterprise scale.
+conflicts, SSD-unreachable privileges, multi-step escalation,
+redundant delegation) with one bitset sweep per rule over
+``PolicyBits`` masks, memoized ``descendants_bits`` and one shared
+exploration engine beats the way you would answer them without the
+lint subsystem — probing every subject × object pair through the
+frozenset API (``policy.reaches`` per cell, frozenset descendants per
+role, a ``policy.copy()`` per explored escalation state, and
+``policy.copy()`` + from-scratch index rebuild per redundancy
+candidate) — by >=5x at 5k-user enterprise scale.
 
 Three runs over the same workload (enterprise policy plus a handful of
 closure-implied shortcut edges and a cross-department SSD set):
@@ -18,7 +21,12 @@ closure-implied shortcut edges and a cross-department SSD set):
   churn; the bench pins it at scale);
 * **baseline** — the per-subject probing implementation defined below,
   which must agree with the sweep on every (rule, subject, witness)
-  and is the denominator of the speedup assertion.
+  of all eight default rules and is the denominator of the speedup
+  assertion.
+
+Each run is timed as the median of ``REPEATS`` (5) repeats, each on a
+fresh policy copy made outside the timer; the metrics record every
+run's min and max next to the median.
 
 Run under pytest (``pytest benchmarks/bench_lint.py -s``) or directly
 (``PYTHONPATH=src python benchmarks/bench_lint.py``).
@@ -31,13 +39,16 @@ numbers into the ``BENCH_kernel.json`` trajectory.
 
 import json
 import os
+import statistics
 import time
+from collections import deque
 
 from conftest import print_table
 
 from repro.analysis.constraints import SsdConstraint
 from repro.analysis.lint import lint_policy
 from repro.core.authz_index import AuthorizationIndex
+from repro.core.commands import Command, CommandAction
 from repro.core.entities import Role, User
 from repro.core.privileges import Grant, Revoke, is_privilege
 from repro.workloads.enterprise import EnterpriseShape, enterprise_policy
@@ -46,6 +57,8 @@ DEPARTMENTS = int(os.environ.get("LINT_BENCH_DEPARTMENTS", "5"))
 LEVELS = int(os.environ.get("LINT_BENCH_LEVELS", "4"))
 EMPLOYEES = int(os.environ.get("LINT_BENCH_EMPLOYEES", "1000"))
 SPEEDUP_TARGET = float(os.environ.get("LINT_SPEEDUP_TARGET", "5"))
+REPEATS = 5
+ESCALATION_DEPTH = 2  # lint_policy's default
 SHAPE = EnterpriseShape(
     departments=DEPARTMENTS,
     levels_per_department=LEVELS,
@@ -286,6 +299,100 @@ def baseline_signatures(policy, constraints):
             )
     out["self-escalation"] = escalations
 
+    # unreachable-under-ssd: frozenset descendants per granting role
+    activatable: set = set()
+    stranded = []
+    if constraints:
+        for role in roles:
+            if not reached_by_someone(role):
+                continue
+            descendants = policy.descendants(role)
+            if not any(
+                len(descendants & constraint.roles)
+                >= constraint.cardinality
+                for constraint in constraints
+            ):
+                activatable.update(
+                    item for item in descendants if is_privilege(item)
+                )
+        stranded = [
+            privilege for privilege in privileges
+            if privilege not in activatable
+            and reached_by_someone(privilege)
+        ]
+    out["unreachable-under-ssd"] = [
+        (
+            str(privilege),
+            tuple(
+                str(assigner) for assigner in
+                sorted(graph.predecessors(privilege), key=str)
+            ),
+        )
+        for privilege in stranded
+    ]
+
+    # depth-k-escalation: breadth-first search over state copies per
+    # user holding a grant privilege
+    closure_edges = sorted(
+        {
+            term.edge for term in policy.subterm_closure()
+            if isinstance(term, Grant)
+        },
+        key=lambda edge: (str(edge[0]), str(edge[1])),
+    )
+    assigned_grants = [
+        privilege for privilege in privileges
+        if isinstance(privilege, Grant)
+    ]
+    chains = []
+    for user in users:
+        if not any(policy.reaches(user, grant) for grant in assigned_grants):
+            continue
+        held = {
+            privilege for privilege in privileges
+            if policy.reaches(user, privilege)
+        }
+        seen = {(policy.edge_set(), policy.vertex_set())}
+        frontier = deque([(policy.copy(), ())])
+        found = None
+        while frontier and found is None:
+            state, path = frontier.popleft()
+            for source, target in closure_edges:
+                wanted = Command(
+                    user, CommandAction.GRANT, source, target
+                ).requested_privilege()
+                if (
+                    wanted is None
+                    or state.has_edge(source, target)
+                    or not state.reaches(user, wanted)
+                ):
+                    continue
+                child = state.copy()
+                child.add_edge(source, target)
+                signature = (child.edge_set(), child.vertex_set())
+                if signature in seen:
+                    continue
+                seen.add(signature)
+                gained = sorted(
+                    (
+                        privilege for privilege in child.privileges()
+                        if privilege not in held
+                        and child.reaches(user, privilege)
+                    ),
+                    key=str,
+                )
+                if gained:
+                    found = (path + (wanted,), gained[0])
+                    break
+                if len(path) + 1 < ESCALATION_DEPTH:
+                    frontier.append((child, path + (wanted,)))
+        if found is not None and len(found[0]) >= 2:
+            steps, gained_privilege = found
+            chains.append(
+                (str(user), tuple(map(str, steps + (gained_privilege,))))
+            )
+    out["depth-k-escalation"] = chains
+
     # redundant-delegation: copy + from-scratch index rebuild per probe
     redundant = []
     edges = sorted(
@@ -359,24 +466,33 @@ def collect_metrics() -> dict:
         return _metrics_cache
     policy, constraints = build_workload()
 
-    compiled_policy = policy.copy()
-    started = time.perf_counter()
-    compiled_report = lint_policy(
-        compiled_policy, compiled=True, constraints=constraints
-    )
-    compiled_s = time.perf_counter() - started
+    def timed(run):
+        """``run`` on a fresh policy copy ``REPEATS`` times (the copy
+        outside the timer): the last result and the median, min and max
+        wall time."""
+        samples = []
+        for _ in range(REPEATS):
+            work = policy.copy()
+            started = time.perf_counter()
+            result = run(work)
+            samples.append(time.perf_counter() - started)
+        return result, (
+            statistics.median(samples), min(samples), max(samples)
+        )
 
-    oracle_policy = policy.copy()
-    started = time.perf_counter()
-    oracle_report = lint_policy(
-        oracle_policy, compiled=False, constraints=constraints
+    compiled_report, compiled_t = timed(
+        lambda work: lint_policy(
+            work, compiled=True, constraints=constraints
+        )
     )
-    oracle_s = time.perf_counter() - started
-
-    baseline_policy = policy.copy()
-    started = time.perf_counter()
-    baseline = baseline_signatures(baseline_policy, constraints)
-    baseline_s = time.perf_counter() - started
+    oracle_report, oracle_t = timed(
+        lambda work: lint_policy(
+            work, compiled=False, constraints=constraints
+        )
+    )
+    baseline, baseline_t = timed(
+        lambda work: baseline_signatures(work, constraints)
+    )
 
     assert compiled_report.findings == oracle_report.findings, (
         "compiled and frozenset lint findings diverge on the bench "
@@ -399,11 +515,18 @@ def collect_metrics() -> dict:
         "redundancy_candidates": compiled_report.stats.get(
             "redundant-delegation", {}
         ).get("candidates", 0),
-        "baseline_s": round(baseline_s, 4),
-        "oracle_s": round(oracle_s, 4),
-        "compiled_s": round(compiled_s, 4),
-        "compiled_speedup": round(baseline_s / compiled_s, 2),
-        "oracle_speedup": round(baseline_s / oracle_s, 2),
+        "repeats": REPEATS,
+    })
+    for name, (median, low, high) in (
+        ("baseline", baseline_t), ("oracle", oracle_t),
+        ("compiled", compiled_t),
+    ):
+        _metrics_cache[f"{name}_s"] = round(median, 4)
+        _metrics_cache[f"{name}_min_s"] = round(low, 4)
+        _metrics_cache[f"{name}_max_s"] = round(high, 4)
+    _metrics_cache.update({
+        "compiled_speedup": round(baseline_t[0] / compiled_t[0], 2),
+        "oracle_speedup": round(baseline_t[0] / oracle_t[0], 2),
         "speedup_target": SPEEDUP_TARGET,
     })
     return _metrics_cache

@@ -21,10 +21,10 @@ the fragment needed for the comparison.
 The checker follows the same two-kernel convention as the RBAC
 explorers: ``compiled=True`` (default) mutates one matrix per frontier
 state in place with an apply/undo log and deduplicates states by a
-:class:`~repro.graph.fingerprint.StateFingerprint` bitmask over
-``(subject, object, right)`` cell atoms — one XOR per primitive
-operation, an int hash per ``seen`` test, and a matrix copy only per
-*distinct* state.  ``compiled=False`` keeps the copy-per-successor
+:class:`~repro.graph.fingerprint.StateFingerprint` bitmask over the
+cells changed since the root — one XOR per primitive operation, an
+int hash per ``seen`` test, and a matrix copy only per *distinct*
+state.  ``compiled=False`` keeps the copy-per-successor
 frozenset-signature oracle; both produce identical results
 (``leaks``/``steps``/``states_explored``), pinned by fuzz invariant 10.
 """
@@ -273,14 +273,10 @@ def _check_safety_compiled(
     is copied only when a genuinely new state joins the frontier.  The
     caller's matrix is never mutated (the root is copied up front).
     """
-    slots = StateFingerprint()
-    root = matrix.copy()
-    fingerprint = 0
-    for atom in root.signature():
-        fingerprint ^= slots.bit(atom)
-    seen = {fingerprint}
+    slots = StateFingerprint()  # root-relative: the root is 0
+    seen = {0}
     frontier: deque[tuple[AccessMatrix, int, int]] = deque(
-        [(root, 0, fingerprint)]
+        [(matrix.copy(), 0, 0)]
     )
     explored = 1
     while frontier:

@@ -884,11 +884,11 @@ def _unreachable_under_ssd(ctx: LintContext) -> Iterator[Finding]:
 def _depth_k_escalation(ctx: LintContext) -> Iterator[Finding]:
     """A user who can obtain an unheld privilege by chaining *several*
     grants — the witness ``self-escalation`` cannot see, found by
-    bounded exploration of the grant-only transition system on the
-    shared :class:`~repro.core.explore.ExplorationEngine` (push/pop,
-    not per-state copies).  Users whose shallowest escalation is one
-    step are reported by ``self-escalation`` and skipped here; the
-    depth bound is ``LintContext.escalation_depth`` (default 2).
+    bounded exploration of the grant-only transition system on one
+    :class:`~repro.core.explore.ExplorationEngine` shared by all users
+    (push/pop, not per-state copies).  Users whose shallowest escalation
+    is one step are reported by ``self-escalation`` and skipped here;
+    the depth bound is ``LintContext.escalation_depth`` (default 2).
     """
     policy = ctx.policy
     graph = policy.graph
@@ -915,6 +915,7 @@ def _depth_k_escalation(ctx: LintContext) -> Iterator[Finding]:
             index = vid.get(privilege)
             if index is not None:
                 grant_mask |= 1 << index
+    engine = None
     for user in ctx.users:
         # A first step needs an initially reachable grant privilege —
         # prune users who hold none before paying for an engine.
@@ -928,8 +929,10 @@ def _depth_k_escalation(ctx: LintContext) -> Iterator[Finding]:
             ):
                 continue
         ctx.count("depth-k-escalation", "users_probed")
+        if ctx.compiled and engine is None:
+            engine = ExplorationEngine(policy, Mode.STRICT, universe=())
         found = _min_grant_escalation(
-            policy, user, depth, ctx.compiled, universe_edges
+            policy, user, depth, ctx.compiled, universe_edges, engine
         )
         if found is None:
             continue
@@ -977,6 +980,7 @@ def _min_grant_escalation(
     depth: int,
     compiled: bool,
     universe_edges: list[tuple] | None = None,
+    engine: ExplorationEngine | None = None,
 ) -> tuple[tuple, object] | None:
     """Breadth-first search of the grant-only transition system for
     the shallowest state where ``user`` reaches a privilege it cannot
@@ -987,8 +991,9 @@ def _min_grant_escalation(
     Grant-only exploration is sound for minimality: privilege reach is
     monotone in the edge set, so a revoke can never *create* an
     escalation that a grant-only prefix would miss.  The compiled path
-    explores one mutable engine via push/pop; the frozenset path
-    re-derives the same frontier with per-state copies.  Candidate
+    explores one mutable engine (``engine`` over the unchanged policy,
+    shared across users, or a fresh one) via push/pop; the frozenset
+    path re-derives the same frontier with per-state copies.  Candidate
     order, authorization semantics, and value-keyed state dedup are
     identical, so both return the same witness (fuzz invariant 13).
     """
@@ -999,7 +1004,10 @@ def _min_grant_escalation(
         for source, target in universe_edges
     ]
     if compiled:
-        engine = ExplorationEngine(policy, Mode.STRICT, universe=commands)
+        if engine is None:
+            engine = ExplorationEngine(policy, Mode.STRICT, universe=())
+        engine.goto(())
+        engine.universe = tuple(commands)
         state = engine.policy
         initial = state.descendants_bits(user) & engine.privileges_mask
         seen = {engine.fingerprint}

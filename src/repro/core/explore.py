@@ -25,11 +25,12 @@ operations on a **single mutable exploration policy**:
   Expanding a state costs O(delta), not O(policy).  :meth:`goto`
   navigates the BFS frontier by undoing to the common prefix of the
   current and target witness paths and replaying the suffix.
-* **canonical fingerprint** — state identity is a
-  :class:`~repro.graph.fingerprint.StateFingerprint` bitmask covering
-  the vertex *and* edge sets, maintained with one XOR per mutation and
-  stable across interner ID recycling (the slot table is keyed by
-  vertex values, not IDs).
+* **root-relative fingerprint** — state identity is a
+  :class:`~repro.graph.fingerprint.StateFingerprint` bitmask of the
+  exact symmetric difference (vertices *and* edges) from the engine's
+  root: ``0`` there, one XOR per changed atom, stable across interner
+  ID recycling (slots are keyed by values, not IDs), exact within one
+  engine and not comparable across engines.
 * **bitmask candidate pruning** — :meth:`effective_commands` decides
   authorization per candidate with bit tests: one
   ``descendants_bits`` mask per distinct issuer per state (served by
@@ -55,6 +56,14 @@ the engine's privileges mask and the reachability cache's vid-keyed
 mirrors do, and the differential fuzz invariant 10
 (:func:`repro.workloads.fuzz.fuzz_compiled_analysis`) pins the whole
 stack against the frozenset oracle, including ID-recycling traces.
+
+Construction costs one policy copy, and ``goto(())`` rewinds to the
+root exactly, so callers asking many questions of one unchanging
+policy share an engine, one ``seen`` set per query: ``safety_matrix``
+across its cells, lint's ``depth-k-escalation`` across the users of a
+sweep (each query sets its own ``universe``).  An engine never sees
+later mutations of its source, so the repair planner builds one per
+probe.
 
 The engine is compiled-only by design: the frozenset explorers remain
 in place as the semantic oracle behind each analysis' ``compiled=False``
@@ -94,7 +103,8 @@ class ExplorationEngine:
     to the given issuers (the safety checker's "only the untrusted
     users act" refinement); ``universe`` overrides the candidate
     command list entirely (it must be state-independent, i.e. computed
-    from the initial policy as :func:`candidate_commands` does).
+    from the initial policy as :func:`candidate_commands` does; a
+    caller sharing the engine may reassign it between queries).
     """
 
     __slots__ = ("mode", "policy", "universe", "_graph", "_oracle",
@@ -123,7 +133,7 @@ class ExplorationEngine:
         self._oracle = (
             OrderingOracle(self.policy) if mode is Mode.REFINED else None
         )
-        self._fingerprint = StateFingerprint.of_graph(self._graph)
+        self._fingerprint = StateFingerprint()
         #: bitmask of privilege vertices over current interned IDs,
         #: seeded from the PolicyBits sort masks and maintained by the
         #: undo log (PolicyBits itself rescans on vertex removal, which
@@ -172,8 +182,8 @@ class ExplorationEngine:
     # ------------------------------------------------------------------
     @property
     def fingerprint(self) -> int:
-        """Canonical bitmask identity of the current state (vertex set
-        + edge set; equal iff the states are equal as policies)."""
+        """Root-relative identity of the current state (``0`` at the
+        root; equal iff the states are equal as policies)."""
         return self._fingerprint.value
 
     @property

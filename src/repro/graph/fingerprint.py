@@ -1,15 +1,18 @@
-"""Canonical state fingerprints for state-space exploration.
+"""Root-relative state fingerprints for state-space exploration.
 
 The bounded analyses (Definition-5 safety runs, administrative
 reachability, the HRU encodings) deduplicate explored policy states.
 The frozenset representation hashes a full ``edge_set()`` snapshot per
 candidate state — O(state) time and allocation on every probe.  The
-compiled representation maintained here is a **big-int bitmask**: every
-distinct state *atom* (a vertex, an edge, an access-matrix cell) is
-assigned one bit on first sight, a state's fingerprint is the OR of its
-atoms' bits, and a single mutation updates the fingerprint with one
-XOR.  ``seen``-set membership then costs an int hash instead of a
-frozenset hash.
+compiled representation maintained here is a **big-int bitmask** of
+the *symmetric difference* from the exploration's root state: the root
+is ``0``, every state *atom* (a vertex, an edge as a ``(source,
+target)`` pair — policy vertices are never tuples, so the kinds cannot
+collide — or an access-matrix cell) a mutation changes gets one bit on
+first sight, and the mutation XORs in its changed atoms' bits.  A state
+is determined by its difference from the root, so two states of one
+exploration are equal iff their fingerprints are; values from
+different explorations are not comparable.  ``seen`` tests hash ints.
 
 Canonicalization and interner ID recycling
 ------------------------------------------
@@ -25,8 +28,8 @@ pairs could then carry different ID-indexed masks.  The value-keyed
 slot table is the remap that makes the fingerprint stable across such
 recycling: equal states always map to equal fingerprints, and distinct
 states to distinct fingerprints (each atom owns exactly one bit — the
-fingerprint is an exact set encoding, not a hash, so there are no
-collisions to reason about).
+fingerprint is an exact encoding of the difference set, not a hash, so
+there are no collisions to reason about).
 
 Two states that differ only in an *isolated* vertex (a user
 deprovisioned and re-added with no memberships) differ in their vertex
@@ -41,18 +44,16 @@ from __future__ import annotations
 
 from typing import Hashable
 
-from .digraph import Digraph
-
 
 class StateFingerprint:
     """An incrementally maintained exact bitmask over state atoms.
 
-    ``value`` is the current fingerprint.  :meth:`toggle` flips one
-    atom in or out (the caller toggles exactly the atoms its mutation
-    changed); an undo restores a previously read ``value`` directly.
-    Slots are never recycled — the table grows to the set of atoms ever
-    seen, which for bounded exploration is the candidate universe plus
-    the initial state.
+    ``value`` is the current fingerprint, ``0`` at the root state.
+    :meth:`toggle` flips one atom in or out (the caller toggles exactly
+    the atoms its mutation changed); an undo restores a previously read
+    ``value`` directly.  Slots are never recycled — the table grows to
+    the set of atoms ever changed, which for bounded exploration is at
+    most the candidate universe's edges and vertices.
     """
 
     __slots__ = ("_slots", "value")
@@ -60,21 +61,6 @@ class StateFingerprint:
     def __init__(self):
         self._slots: dict[Hashable, int] = {}
         self.value = 0
-
-    @classmethod
-    def of_graph(cls, graph: Digraph) -> "StateFingerprint":
-        """A fingerprint seeded with a graph's vertices and edges.
-
-        Vertex atoms are the vertex values; edge atoms are ``(source,
-        target)`` pairs.  (Policy vertices are entities and privilege
-        terms, never tuples, so the two atom kinds cannot collide.)
-        """
-        fingerprint = cls()
-        for vertex in graph.vertices():
-            fingerprint.toggle(vertex)
-        for edge in graph.edges():
-            fingerprint.toggle(edge)
-        return fingerprint
 
     def bit(self, atom: Hashable) -> int:
         """The bit owned by ``atom``, assigned on first sight."""

@@ -36,14 +36,21 @@ def policy():
 
 class TestStateFingerprint:
     def test_equal_states_equal_fingerprints(self, policy):
-        # Re-toggling the same atoms through the same slot table lands
-        # on the same value regardless of order.
-        fingerprint = StateFingerprint.of_graph(policy.graph)
+        # Toggling the same atoms through the same slot table lands on
+        # the same value regardless of order.
+        atoms = sorted(
+            list(policy.graph.vertices()) + list(policy.graph.edges()),
+            key=str,
+        )
+        fingerprint = StateFingerprint()
+        for atom in atoms:
+            fingerprint.toggle(atom)
         value = fingerprint.value
-        for edge in sorted(policy.graph.edges(), key=str):
-            fingerprint.toggle(edge)
-        for edge in sorted(policy.graph.edges(), key=str, reverse=True):
-            fingerprint.toggle(edge)
+        for atom in reversed(atoms):
+            fingerprint.toggle(atom)
+        assert fingerprint.value == 0
+        for atom in reversed(atoms):
+            fingerprint.toggle(atom)
         assert fingerprint.value == value
 
     def test_toggle_roundtrip(self):
@@ -120,6 +127,56 @@ class TestPushPopExactness:
             engine.push(command)
         assert policy.version == version
         assert U not in policy.graph
+
+
+class TestRootRelativeFingerprint:
+    """The engine's fingerprint encodes the exact difference from its
+    root state: 0 at the root, equal for equal states however they
+    were reached."""
+
+    def test_fresh_engine_is_zero(self, policy):
+        assert ExplorationEngine(policy, Mode.STRICT).fingerprint == 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_goto_root_returns_to_zero(self, seed):
+        shape = PolicyShape(n_users=3, n_roles=4, n_admin_privileges=4)
+        policy = random_policy(seed, shape)
+        engine = ExplorationEngine(policy, Mode.STRICT)
+        for _ in range(3):
+            commands = engine.effective_commands()
+            if not commands:
+                break
+            engine.push(commands[seed % len(commands)])
+            assert engine.fingerprint != 0
+        engine.goto(())
+        assert engine.fingerprint == 0
+        assert engine.policy == policy
+
+    def test_push_orders_agree_across_id_recycling(self):
+        """Two orders of the same three commands reach the same state;
+        one of them recycles the garbage-collected privilege's ID for
+        another vertex, so the interned layouts differ — the
+        fingerprints must not."""
+        policy = Policy(
+            ua=[(ADMIN, ADM)],
+            pa=[(R, P), (ADM, Grant(U, R)), (ADM, Revoke(R, P)),
+                (ADM, Grant(R, P))],
+        )
+        engine = ExplorationEngine(policy, Mode.STRICT)
+        graph = engine.policy.graph
+        revoke, add_user, regrant = (
+            revoke_cmd(ADMIN, R, P), grant_cmd(ADMIN, U, R),
+            grant_cmd(ADMIN, R, P),
+        )
+        engine.goto((revoke, add_user, regrant))  # U takes P's old ID
+        first = (engine.fingerprint, graph.vid(P), engine.policy.copy())
+        engine.goto((add_user, revoke, regrant))  # P gets its ID back
+        second = (engine.fingerprint, graph.vid(P), engine.policy.copy())
+        assert first[2] == second[2]
+        assert first[1] != second[1]
+        assert first[0] == second[0] != 0
+        engine.goto(())
+        assert engine.fingerprint == 0
 
 
 class TestPrivilegesMask:

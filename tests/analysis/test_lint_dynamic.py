@@ -6,14 +6,20 @@ graph, so each test runs both kernels and pins them identical — the
 same discipline the fuzz campaigns enforce at scale.
 """
 
+import random
+
 import pytest
 
+from repro.analysis import lint
 from repro.analysis.constraints import SsdConstraint
-from repro.analysis.lint import lint_policy
+from repro.analysis.lint import _min_grant_escalation, lint_policy
+from repro.core.commands import Mode
 from repro.core.entities import Role, User
+from repro.core.explore import ExplorationEngine
 from repro.core.policy import Policy
 from repro.core.privileges import Grant, perm
 from repro.papercases import figures
+from repro.workloads.enterprise import EnterpriseShape, enterprise_policy
 
 BOTH_KERNELS = pytest.mark.parametrize(
     "compiled", [True, False], ids=["compiled", "frozenset"]
@@ -168,3 +174,85 @@ class TestDepthKEscalation:
         policy.add_edge(User("mallory"), Role("vault"))
         report = lint_policy(policy, compiled=compiled)
         assert report.stats["depth-k-escalation"]["users_probed"] == 1
+
+
+def escalating_enterprise(seed):
+    """A seeded enterprise with several planted depth-2 escalators —
+    two of them sharing one stage role, so their explorations touch
+    the same atoms — plus a one-step escalator the rule must skip."""
+    shape = EnterpriseShape(
+        departments=2, levels_per_department=3, roles_per_level=2,
+        employees_per_department=6, delegation_depth=2,
+    )
+    policy = enterprise_policy(shape, seed)
+    rng = random.Random(seed)
+    users = rng.sample(sorted(policy.users(), key=str), 4)
+    shared_stage, vault = Role("stage_shared"), Role("vault")
+    policy.add_edge(vault, perm("open", "vault"))
+    for index, user in enumerate(users[:3]):
+        admin = Role(f"esc_admin{index}")
+        stage = shared_stage if index < 2 else Role(f"stage{index}")
+        policy.assign_user(user, admin)
+        policy.add_edge(admin, Grant(user, stage))
+        policy.add_edge(admin, Grant(stage, vault))
+    one_step = Role("esc_admin_direct")
+    policy.assign_user(users[3], one_step)
+    policy.add_edge(one_step, Grant(users[3], vault))
+    return policy
+
+
+class TestSharedEscalationEngine:
+    """The rule runs every probed user on one exploration engine; the
+    result must equal a fresh engine per user and the frozenset
+    kernel."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_shared_engine_matches_fresh_and_oracle(self, seed, monkeypatch):
+        rules = ["depth-k-escalation"]
+        shared = lint_policy(escalating_enterprise(seed), rules=rules)
+        oracle = lint_policy(
+            escalating_enterprise(seed), rules=rules, compiled=False
+        )
+        # Dropping the shared engine makes every search build its own.
+        monkeypatch.setattr(
+            lint, "_min_grant_escalation",
+            lambda policy, user, depth, compiled, edges, engine:
+            _min_grant_escalation(policy, user, depth, compiled, edges),
+        )
+        fresh = lint_policy(escalating_enterprise(seed), rules=rules)
+        assert len(shared.findings) == 3
+        assert shared.findings == fresh.findings == oracle.findings
+        assert shared.stats == fresh.stats == oracle.stats
+        assert shared.stats["depth-k-escalation"]["users_probed"] > 4
+
+    def test_shared_engine_rewinds_between_users(self):
+        """A search leaves the engine at its witness state (eve's adds
+        ``stage -> vault``); the next search — carol, a ``stage`` member
+        — must still measure its gains from the root."""
+        policy = chained_grant_policy()
+        carol = User("carol")
+        policy.assign_user(carol, Role("stage"))
+        policy.assign_user(carol, Role("admin"))
+        engine = ExplorationEngine(policy, Mode.STRICT, universe=())
+        for user in (User("eve"), carol):
+            shared = _min_grant_escalation(
+                policy, user, 2, True, engine=engine
+            )
+            assert shared is not None
+            assert shared == _min_grant_escalation(policy, user, 2, True)
+            assert shared == _min_grant_escalation(policy, user, 2, False)
+
+    def test_one_engine_per_invocation(self, monkeypatch):
+        built = []
+
+        class CountingEngine(ExplorationEngine):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(lint, "ExplorationEngine", CountingEngine)
+        report = lint_policy(
+            escalating_enterprise(0), rules=["depth-k-escalation"]
+        )
+        assert report.stats["depth-k-escalation"]["users_probed"] > 1
+        assert len(built) == 1
